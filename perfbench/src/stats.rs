@@ -56,21 +56,27 @@ pub fn mean(samples: &[f64]) -> f64 {
     }
 }
 
-/// The `q`-percentile of each of up to `max_chunks` consecutive chunks of
-/// `in_order`, each chunk large enough to leave [`MIN_BEYOND`] samples
-/// beyond it, and the median of those; with the number of chunks. Falls
-/// back to the percentile of all samples, as one chunk, when there are
-/// too few for even one chunk.
+/// The `q`-percentile of each chunk of consecutive samples of `in_order`,
+/// and the lowest of those: the tail of the quietest stretch of traffic;
+/// with the number of chunks. A host that stalls its virtual CPUs now and
+/// then lifts the tails of the chunks it hits and leaves the others alone,
+/// while a tail the code itself causes lifts every chunk.
+///
+/// Runs of `group` consecutive samples share their fate (a closed loop's
+/// outstanding window, which one stall delays together), so a chunk is
+/// `group` times the fewest samples that leave [`MIN_BEYOND`] beyond the
+/// percentile. Falls back to the percentile of all samples, as one chunk,
+/// when there are too few for even one chunk.
 ///
 /// # Panics
 /// Panics on an empty slice.
-pub fn chunked_percentile(in_order: &[f64], q: f64, max_chunks: usize) -> (f64, usize) {
-    let smallest = (1..=in_order.len())
+pub fn quietest_chunk_percentile(in_order: &[f64], q: f64, group: usize) -> (f64, usize) {
+    let size = (1..=in_order.len())
         .find(|&n| beyond(n, q) >= MIN_BEYOND)
-        .unwrap_or(usize::MAX);
-    let chunks = (in_order.len() / smallest).min(max_chunks).max(1);
+        .map_or(usize::MAX, |n| n.saturating_mul(group.max(1)));
+    let chunks = (in_order.len() / size).max(1);
     let size = in_order.len() / chunks;
-    let per_chunk: Vec<f64> = (0..chunks)
+    let lowest = (0..chunks)
         .map(|c| {
             let end = if c + 1 == chunks {
                 in_order.len()
@@ -81,8 +87,8 @@ pub fn chunked_percentile(in_order: &[f64], q: f64, max_chunks: usize) -> (f64, 
             chunk.sort_by(f64::total_cmp);
             percentile(&chunk, q)
         })
-        .collect();
-    (median(&per_chunk), chunks)
+        .fold(f64::INFINITY, f64::min);
+    (lowest, chunks)
 }
 
 /// The verdicts and server CPU time between two consecutive CPU samples.
@@ -233,22 +239,33 @@ mod tests {
     }
 
     #[test]
-    fn chunked_percentile_takes_the_median_of_chunk_tails() {
-        // 3 000 samples make three chunks of 1 000; one chunk's stall moves
-        // its own tail but not the median of the three.
+    fn quietest_chunk_percentile_skips_stalled_chunks() {
+        // 3 000 samples make three chunks of 1 000. Stalls lift the tails of
+        // the first two chunks but not that of the quiet third.
         let mut samples: Vec<f64> = (0..3_000).map(|i| f64::from(i % 1_000)).collect();
-        for s in &mut samples[1_000..1_100] {
+        for s in &mut samples[0..100] {
             *s = 1e6;
         }
-        let (p99, chunks) = chunked_percentile(&samples, 0.99, 10);
+        for s in &mut samples[1_000..1_020] {
+            *s = 5e5;
+        }
+        let (p99, chunks) = quietest_chunk_percentile(&samples, 0.99, 1);
         assert_eq!(chunks, 3);
         assert_eq!(p99, 989.0);
+        // A tail in every chunk is reported.
+        for c in 0..3 {
+            for s in &mut samples[c * 1_000 + 500..c * 1_000 + 520] {
+                *s = 7e3;
+            }
+        }
+        assert_eq!(quietest_chunk_percentile(&samples, 0.99, 1).0, 7e3);
         // Too few samples for one full chunk: the whole set is one chunk.
         let few: Vec<f64> = (1..=50).map(f64::from).collect();
-        assert_eq!(chunked_percentile(&few, 0.99, 10), (50.0, 1));
-        // The chunk count is capped.
-        let many = vec![1.0; 50_000];
-        assert_eq!(chunked_percentile(&many, 0.99, 10).1, 10);
+        assert_eq!(quietest_chunk_percentile(&few, 0.99, 1), (50.0, 1));
+        // Samples in groups of 64 need 64 times the chunk size.
+        let many = vec![1.0; 150_000];
+        assert_eq!(quietest_chunk_percentile(&many, 0.99, 1).1, 150);
+        assert_eq!(quietest_chunk_percentile(&many, 0.99, 64).1, 2);
     }
 
     #[test]

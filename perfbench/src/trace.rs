@@ -5,7 +5,7 @@
 //!
 //! | layer | public call timed |
 //! |---|---|
-//! | `socket` | a std loopback echo of the same request sizes |
+//! | `socket` | a std loopback echo of the same request sizes, on the server's CPU |
 //! | `router` | `SchemaRouter::open` / `SchemaRouter::finish` |
 //! | `service` | `ValidationService::feed_bytes` (via the router), 16 KiB chunks |
 //! | `tokenizer` | `Tokenizer::feed` with a no-op sink |
@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
 /// The server's socket read size: the service sees bodies in chunks of at
@@ -231,8 +233,10 @@ pub struct Layers {
 /// after its startup schemas.
 ///
 /// A document's cost in a layer is the median over its rounds, so a
-/// preempted call does not inflate it; per-document figures are the mean
-/// of those over the pool, which is the traffic's mix.
+/// preempted call does not inflate it; per-document figures average those
+/// over the whole pool, which is the traffic's mix, counting a document
+/// that never reaches a layer (one that does not intern skips the
+/// validator and core replays) as costing it nothing.
 pub fn replay(
     corpus: &Corpus,
     publishes: &[String],
@@ -342,10 +346,10 @@ pub fn replay(
     layers.router_finish_ns = mean(&tracer.per_doc_ns("router.finish", pool));
     layers.wire_render_ns = mean(&tracer.per_doc_ns("wire.render", pool));
     let feed = tracer.per_doc_ns("service.feed_bytes", pool);
-    layers.feed_ns_per_doc = mean(&feed);
+    layers.feed_ns_per_doc = pool_mean(&feed, pool);
     layers.feed_ns_per_kb = feed.iter().sum::<f64>() / pool_kb;
     let tokenize = tracer.per_doc_ns("tokenizer.feed", pool);
-    layers.tokenizer_ns_per_doc = mean(&tokenize);
+    layers.tokenizer_ns_per_doc = pool_mean(&tokenize, pool);
     layers.tokenizer_ns_per_kb = tokenize.iter().sum::<f64>() / pool_kb;
     layers.tags_per_kb = tags as f64 / pool_kb;
     let interned_docs = interned.iter().flatten().count() as f64;
@@ -354,11 +358,11 @@ pub fn replay(
         return Err("no document interns into events".to_owned());
     }
     let validate = tracer.per_doc_ns("validator.validate_events", pool);
-    layers.validator_ns_per_doc = mean(&validate);
+    layers.validator_ns_per_doc = pool_mean(&validate, pool);
     layers.validator_ns_per_event = validate.iter().sum::<f64>() / events as f64;
     layers.events_per_doc = events as f64 / interned_docs;
     let step = tracer.per_doc_ns("core.step", pool);
-    layers.core_ns_per_doc = mean(&step);
+    layers.core_ns_per_doc = pool_mean(&step, pool);
     layers.core_ns_per_step = step.iter().sum::<f64>() / steps.max(1) as f64;
     layers.steps_per_doc = steps as f64 / interned_docs;
 
@@ -433,6 +437,13 @@ impl Tracer {
     }
 }
 
+/// Mean cost per document of the `pool` over the costs `per_doc` of the
+/// documents that reached a layer: the rest cost it nothing, so layers
+/// reached by different documents subtract on the same basis.
+fn pool_mean(per_doc: &[f64], pool: usize) -> f64 {
+    per_doc.iter().sum::<f64>() / pool as f64
+}
+
 /// Each element's name with the names of its element children, in order.
 type Words = Vec<(Symbol, Vec<Symbol>)>;
 
@@ -489,64 +500,116 @@ fn step_words(schema: &Schema, words: &Words) -> u64 {
     steps
 }
 
-/// Round-trip p50 in µs of a std loopback echo: a blocking thread reads
-/// each framed request and answers a line as long as the real verdict, so
-/// the client sees the sizes `redet serve` sees, minus redet.
+/// Round-trip p50 in µs of a std loopback echo: `exe --echo` runs as a
+/// child process pinned to `cpu` (the server's), reads each framed request
+/// and answers a line as long as the real verdict. The round trips thus
+/// cross the same two CPUs and carry the same sizes as the measured
+/// traffic, minus redet.
 pub fn socket_rtt_p50_us(
+    exe: &Path,
+    cpu: Option<usize>,
     requests: &[Vec<u8>],
     response_lens: &[usize],
     rounds: usize,
 ) -> Result<f64, String> {
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("echo bind: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let mut samples = Vec::with_capacity(rounds);
-    std::thread::scope(|scope| -> Result<(), String> {
-        let echo = scope.spawn(move || -> std::io::Result<()> {
-            let (stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            let mut reader = BufReader::new(&stream);
-            let mut header = String::new();
-            let mut body = Vec::new();
-            let mut k = 0usize;
-            loop {
-                header.clear();
-                if reader.read_line(&mut header)? == 0 {
-                    return Ok(());
-                }
-                let len: usize = header
-                    .split_whitespace()
-                    .last()
-                    .and_then(|t| t.parse().ok())
-                    .unwrap_or(0);
-                body.resize(len, 0);
-                reader.read_exact(&mut body)?;
-                let mut reply = vec![b'x'; response_lens[k % response_lens.len()]];
-                reply.push(b'\n');
-                (&stream).write_all(&reply)?;
-                k += 1;
-            }
-        });
-        let client = (|| -> std::io::Result<()> {
-            let stream = TcpStream::connect(addr)?;
+    let mut child = crate::server::pinned(exe, cpu)
+        .arg("--echo")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("echo start: {e}"))?;
+    let measured = (|| -> Result<Vec<f64>, String> {
+        let mut lens: String = response_lens.iter().map(|n| format!("{n}\n")).collect();
+        lens.push('\n');
+        let mut stdin = child.stdin.take().expect("stdin is piped");
+        stdin
+            .write_all(lens.as_bytes())
+            .map_err(|e| format!("echo lengths: {e}"))?;
+        drop(stdin);
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().expect("stdout is piped"))
+            .read_line(&mut line)
+            .map_err(|e| format!("echo address: {e}"))?;
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .and_then(|a| a.parse::<std::net::SocketAddr>().ok())
+            .ok_or_else(|| format!("echo printed '{}'", line.trim()))?;
+        let stream = TcpStream::connect(addr).map_err(|e| format!("echo connect: {e}"))?;
+        let client = || -> std::io::Result<Vec<f64>> {
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(crate::server::READ_TIMEOUT))?;
             let mut reader = BufReader::new(&stream);
-            let mut line = Vec::new();
+            let mut samples = Vec::with_capacity(rounds);
+            let mut reply = Vec::new();
             for k in 0..rounds {
                 let start = Instant::now();
                 (&stream).write_all(&requests[k % requests.len()])?;
-                line.clear();
-                reader.read_until(b'\n', &mut line)?;
+                reply.clear();
+                reader.read_until(b'\n', &mut reply)?;
                 samples.push(start.elapsed().as_secs_f64() * 1e6);
             }
-            Ok(())
-        })();
-        let served = echo.join().map_err(|_| "echo thread panicked".to_owned())?;
-        client.map_err(|e| format!("echo client: {e}"))?;
-        served.map_err(|e| format!("echo server: {e}"))
-    })?;
+            Ok(samples)
+        };
+        client().map_err(|e| format!("echo client: {e}"))
+    })();
+    // The echo exits at end of stream; a failed run leaves it blocked.
+    if measured.is_err() {
+        let _ = child.kill();
+    }
+    let status = child.wait().map_err(|e| format!("echo wait: {e}"))?;
+    let mut samples = measured?;
+    if !status.success() {
+        return Err(format!("echo exited with {status}"));
+    }
     samples.sort_by(f64::total_cmp);
     Ok(percentile(&samples, 0.5))
+}
+
+/// The echo side of [`socket_rtt_p50_us`], run as `perfbench --echo`:
+/// reads the reply lengths from stdin up to an empty line, prints its
+/// loopback address, and answers the one connection it accepts until that
+/// connection closes.
+pub fn echo_serve() -> std::io::Result<()> {
+    let mut lens = Vec::new();
+    for line in std::io::stdin().lock().lines() {
+        let line = line?;
+        if line.is_empty() {
+            break;
+        }
+        lens.push(line.parse::<usize>().unwrap_or(0));
+    }
+    if lens.is_empty() {
+        lens.push(0);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let mut out = std::io::stdout();
+    writeln!(out, "listening on {}", listener.local_addr()?)?;
+    out.flush()?;
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(&stream);
+    let mut header = String::new();
+    let mut body = Vec::new();
+    let mut reply = Vec::new();
+    for k in 0.. {
+        header.clear();
+        if reader.read_line(&mut header)? == 0 {
+            break;
+        }
+        let len: usize = header
+            .split_whitespace()
+            .last()
+            .and_then(|t| t.parse().ok())
+            .unwrap_or(0);
+        body.resize(len, 0);
+        reader.read_exact(&mut body)?;
+        reply.clear();
+        reply.resize(lens[k % lens.len()], b'x');
+        reply.push(b'\n');
+        (&stream).write_all(&reply)?;
+    }
+    Ok(())
 }
 
 /// Splits `e2e_us` into layer self times per document. `socket_us` is the
@@ -628,6 +691,36 @@ mod tests {
         let pipelined = decompose(&layers, 60.0, None, 0.0);
         assert!(pipelined.layers.iter().all(|(n, _)| *n != "socket"));
         assert!((pipelined.total_us() - 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn layers_some_documents_skip_average_over_the_pool() {
+        // Four documents, two rounds; document 3 does not intern, so it is
+        // fed (2000 ns) but never validated.
+        let epoch = Instant::now();
+        let mut t = Tracer::new(epoch);
+        let at = |ns: u64| epoch + Duration::from_nanos(ns);
+        for request in 0..8u64 {
+            t.record("service.feed_bytes", None, request, at(0), at(2000));
+            if request % 4 != 3 {
+                t.record("validator.validate_events", None, request, at(0), at(1000));
+            }
+        }
+        let feed = t.per_doc_ns("service.feed_bytes", 4);
+        let validate = t.per_doc_ns("validator.validate_events", 4);
+        assert_eq!(validate.len(), 3);
+        let layers = Layers {
+            feed_ns_per_doc: pool_mean(&feed, 4),
+            validator_ns_per_doc: pool_mean(&validate, 4),
+            ..Layers::default()
+        };
+        assert!((layers.validator_ns_per_doc - 750.0).abs() < 1e-9);
+        let d = decompose(&layers, 10.0, None, 0.0);
+        let get = |name: &str| d.layers.iter().find(|(n, _)| *n == name).unwrap().1;
+        // Feeding costs 2 µs per document, validating 0.75 µs on the pool.
+        assert!((get("service") - 1.25).abs() < 1e-9);
+        assert!((get("validator") - 0.75).abs() < 1e-9);
+        assert!((d.remainder_us - 8.0).abs() < 1e-9);
     }
 
     #[test]
