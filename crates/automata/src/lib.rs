@@ -13,8 +13,9 @@
 //!   For nondeterministic expressions the set-of-positions simulation
 //!   ([`NfaSimulationMatcher`]) is the baseline.
 //!
-//! These are the comparison points for every experiment in `EXPERIMENTS.md`,
-//! and the testing oracles for the linear-time algorithms in `redet-core`.
+//! These are the baselines the `redet-bench` benches measure the linear-time
+//! algorithms of `redet-core` against (DESIGN.md, "Experiment index"), and
+//! the testing oracles for those algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

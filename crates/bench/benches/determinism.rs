@@ -1,5 +1,7 @@
-//! Benches for experiments E1/E2/E8: determinism testing and preprocessing
-//! cost — the pipeline's analyze + certify stages vs the Glushkov baseline.
+//! Benches for experiments E1/E2/E8/E9: determinism testing and
+//! preprocessing cost — the pipeline's analyze + certify stages vs the
+//! Glushkov baseline, and the §3.3 counting test vs the Glushkov test on
+//! the unrolled expression.
 //!
 //! The timed closures borrow the pre-built AST on both sides (no clones in
 //! the loop), so the comparison isolates exactly the work the paper counts:
@@ -10,9 +12,10 @@
 //! `REDET_BENCH_FAST=1` for a smoke run and `REDET_BENCH_JSON_DIR=dir` to
 //! record a report.
 
-use redet_automata::{glushkov_determinism, GlushkovAutomaton};
+use redet_automata::{glushkov_determinism, unroll_counting, GlushkovAutomaton};
 use redet_bench::harness::Harness;
-use redet_core::check_determinism;
+use redet_core::{check_counting_determinism, check_determinism};
+use redet_syntax::Regex;
 use redet_tree::TreeAnalysis;
 use redet_workloads as workloads;
 
@@ -78,10 +81,50 @@ fn bench_preprocessing(h: &mut Harness) {
     }
 }
 
+/// Sprinkles numeric occurrence indicators over a CHARE-like expression:
+/// stars become `{2,5}` and `{3,3}` counters alternately by depth.
+fn add_counters(regex: &Regex, depth: usize) -> Regex {
+    match regex {
+        Regex::Concat(l, r) => add_counters(l, depth + 1).then(add_counters(r, depth + 1)),
+        Regex::Star(inner) => {
+            let body = add_counters(inner, depth + 1);
+            if depth % 2 == 0 {
+                body.repeat(2, Some(5))
+            } else {
+                body.repeat(3, Some(3))
+            }
+        }
+        other => other.clone(),
+    }
+}
+
+/// E9: Section 3.3 — determinism with numeric occurrence indicators,
+/// decided on the counted expression directly vs the Glushkov test on its
+/// unrolling (whose size grows with the counter bounds).
+fn bench_counting(h: &mut Harness) {
+    h.group("E9_counting_determinism");
+    let sizes: &[usize] = if h.is_fast() {
+        &[50]
+    } else {
+        &[50, 200, 800, 3200]
+    };
+    for &factors in sizes {
+        let counted = add_counters(&workloads::chare(factors, 3, 41).regex, 0);
+        h.bench("counting_linear", factors, || {
+            check_counting_determinism(&counted).is_ok()
+        });
+        let unrolled = unroll_counting(&counted);
+        h.bench("unrolled_glushkov", factors, || {
+            glushkov_determinism(&GlushkovAutomaton::build(&unrolled)).is_ok()
+        });
+    }
+}
+
 fn main() {
     let mut h = Harness::new();
     bench_mixed_content(&mut h);
     bench_families(&mut h);
     bench_preprocessing(&mut h);
+    bench_counting(&mut h);
     h.finish("determinism");
 }

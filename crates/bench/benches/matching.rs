@@ -1,7 +1,8 @@
-//! Benches for experiments E3–E7: `checkIfFollow` queries and the four
-//! matching algorithms against the Glushkov DFA baseline — all constructed
-//! from one shared `CompiledAnalysis` artifact, so compile-once/match-many
-//! is what gets measured.
+//! Benches for experiments E3–E7 and E10–E17: `checkIfFollow` queries and
+//! the four matching algorithms against the Glushkov DFA baseline — all
+//! constructed from one shared `CompiledAnalysis` artifact, so
+//! compile-once/match-many is what gets measured — followed by the
+//! schema-level validation, serving and registry groups.
 //!
 //! Run with `cargo bench -p redet-bench --bench matching`; set
 //! `REDET_BENCH_FAST=1` for a smoke run and `REDET_BENCH_JSON_DIR=dir` to
@@ -781,14 +782,14 @@ fn bench_markup_coverage(h: &mut Harness) {
     });
 }
 
-/// E17: the schema registry — cache-hit opens vs direct validator
-/// construction (gated), corpus compilation cold vs cache-hot, and
-/// hot-swap latency under in-flight load (both measured, ungated: their
-/// cost is pipeline- and lock-bound, not comparable across machines as a
-/// ratio to validation work).
+/// E17: the schema registry — opens right after a hot-swap vs direct
+/// validator construction (gated), corpus compilation cold vs cache-hot,
+/// and hot-swap latency under in-flight load (both measured, ungated:
+/// their cost is pipeline-bound or a pointer store, not comparable across
+/// machines as a ratio to validation work).
 fn bench_schema_registry(h: &mut Harness) {
-    use redet_schema::registry::{Registry, SharedSchema};
-    use redet_schema::{Schema, SchemaBuilder};
+    use redet_schema::registry::Registry;
+    use redet_schema::{Schema, SchemaBuilder, ValidationService};
     use std::sync::Arc;
 
     h.group("E17_schema_registry");
@@ -799,23 +800,21 @@ fn bench_schema_registry(h: &mut Harness) {
     };
     let sources = redet_workloads::schema_corpus(distinct, total, 0xE17);
 
-    // Registry-mediated opens vs direct validator construction over the
-    // same per-source artifact sequence. `open_handle` is the serving
-    // path after a publish — `SharedSchema::load` (read lock + `Arc`
-    // clone) then `validator()` — and must be noise next to building the
-    // validator from an already-held `Arc`. `open_rehash` re-presents the
-    // DTD text on every open (normalize + hash + map probe, all cache
-    // hits): measured at its own param because its cost is `O(|text|)` by
-    // design, not comparable as a same-param ratio. `open_direct` is the
-    // group's gate reference.
+    // Opens after a hot-swap vs direct validator construction over the
+    // same per-source artifact sequence. `open_after_swap` is the path a
+    // `V` request takes after a `P`: `ValidationService::swap_schema` to
+    // the published artifact, then `try_open` + `close` — the swap drops
+    // the spare list, so every open builds its validator afresh and the
+    // series prices the swap and slab bookkeeping on top of the
+    // construction `open_direct` does from an already-held `Arc`.
+    // `open_rehash` re-presents the DTD text on every open (normalize +
+    // hash + map probe, all cache hits): measured at its own param because
+    // its cost is `O(|text|)` by design, not comparable as a same-param
+    // ratio. `open_direct` is the group's gate reference.
     let mut registry = Registry::new();
     let artifacts: Vec<Arc<Schema>> = sources
         .iter()
         .map(|s| registry.compile(s).expect("corpus schemas compile"))
-        .collect();
-    let handles: Vec<Arc<SharedSchema>> = artifacts
-        .iter()
-        .map(|schema| Arc::new(SharedSchema::new(Arc::clone(schema))))
         .collect();
     h.throughput(total as u64);
     h.bench("open_direct", total, || {
@@ -824,10 +823,16 @@ fn bench_schema_registry(h: &mut Harness) {
             .map(|schema| schema.validator().schema().len())
             .sum::<usize>()
     });
-    h.bench("open_handle", total, || {
-        handles
+    let mut swapped = ValidationService::new(Arc::clone(&artifacts[0]));
+    h.bench("open_after_swap", total, || {
+        artifacts
             .iter()
-            .map(|handle| handle.load().validator().schema().len())
+            .map(|schema| {
+                swapped.swap_schema(Arc::clone(schema));
+                let doc = swapped.try_open().expect("no in-flight cap");
+                swapped.close(doc);
+                swapped.schema().len()
+            })
             .sum::<usize>()
     });
 
@@ -854,7 +859,7 @@ fn bench_schema_registry(h: &mut Harness) {
     });
 
     // Hot-swap latency with `inflight` half-fed documents open: one
-    // `SharedSchema::publish` plus the service rebinding (spare-list
+    // `ValidationService::swap_schema` (pointer store plus spare-list
     // flush) per iteration. In-flight handles are untouched by design.
     let v1: Arc<Schema> = SchemaBuilder::new()
         .parse_dtd(
@@ -866,7 +871,6 @@ fn bench_schema_registry(h: &mut Harness) {
         .parse_dtd("<!ELEMENT doc (title, author, year)><!ELEMENT title (#PCDATA)><!ELEMENT author (#PCDATA)><!ELEMENT year (#PCDATA)>")
         .build()
         .expect("v2 compiles");
-    let shared = SharedSchema::new(Arc::clone(&v1));
     let mut service = v1.service();
     for _ in 0..inflight {
         let doc = service.open();
@@ -877,9 +881,8 @@ fn bench_schema_registry(h: &mut Harness) {
     h.bench("swap_inflight", inflight, || {
         flip = !flip;
         let next = if flip { &v2 } else { &v1 };
-        shared.publish(Arc::clone(next));
-        service.swap_schema(shared.load());
-        shared.epoch()
+        service.swap_schema(Arc::clone(next));
+        service.in_flight()
     });
 }
 

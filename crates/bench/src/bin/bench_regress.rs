@@ -35,10 +35,10 @@
 //! full-markup serving series (attribute/text events, attribute-dense tag
 //! soup, and the entity-decode byte shape) against the per-document
 //! validator reference over the same enriched corpus. E17 ratio-gates
-//! registry-handle opens (`SharedSchema` load + validator) against
-//! direct validator construction, with an absolute cap
-//! ([`E17_HANDLE_OPEN_MAX_RATIO`]) bounding the read-lock + `Arc` clone
-//! per open to tens of nanoseconds; its rehash, compile, and swap series
+//! the open that follows a hot-swap (`ValidationService::swap_schema`,
+//! then `try_open` + `close` — the path a `V` request takes after a `P`)
+//! against direct validator construction, with an absolute cap
+//! ([`E17_SWAP_OPEN_MAX_RATIO`]); its rehash, compile, and swap series
 //! are measured but not gated (they live at their own params).
 
 use std::collections::BTreeMap;
@@ -92,15 +92,17 @@ const E12_MAX_SCALED_RATIO: f64 = 0.85;
 /// most this factor — resource governance is bookkeeping, not work.
 const E15_GOVERNED_MAX_RATIO: f64 = 1.3;
 
-/// Absolute cap on `open_handle / open_direct` (E17): obtaining a
-/// validator through a published `SharedSchema` handle (read lock +
-/// `Arc` clone) must stay within this factor of constructing one from an
-/// already-held `Arc<Schema>`. The reference is a ~30 ns construction on
-/// the tiny corpus schemas, so the cap bounds the hot-swap indirection to
-/// a few tens of nanoseconds — it fires if the handle ever regresses to
-/// heavier synchronization (contended locks, extra allocation), while the
+/// Absolute cap on `open_after_swap / open_direct` (E17): swapping a
+/// service to a published artifact and then opening and closing a
+/// document on it must stay within this factor of constructing a
+/// validator from an already-held `Arc<Schema>`. The reference is a
+/// ~25 ns construction on the tiny corpus schemas; the series adds the
+/// swap (spare-list flush) and the service's slab bookkeeping, ~5× the
+/// reference when committed. The cap leaves ~19% headroom over the
+/// committed ratio, so it fires if the post-swap open ever regresses to
+/// heavier work (extra allocation, synchronization), while the
 /// committed-ratio gate catches smaller drift.
-const E17_HANDLE_OPEN_MAX_RATIO: f64 = 2.5;
+const E17_SWAP_OPEN_MAX_RATIO: f64 = 6.0;
 
 #[derive(Clone, Debug)]
 struct Entry {
@@ -199,13 +201,13 @@ fn absolute_caps(fresh: &BTreeMap<(String, String, String), f64>) -> usize {
             violations += 1;
         }
         if group == "E17_schema_registry"
-            && name.contains("open_handle")
-            && ratio > E17_HANDLE_OPEN_MAX_RATIO
+            && name.contains("open_after_swap")
+            && ratio > E17_SWAP_OPEN_MAX_RATIO
         {
             eprintln!(
                 "E17 cap: {name} (param {param}) is {ratio:.2}x a direct validator \
-                 construction (cap {E17_HANDLE_OPEN_MAX_RATIO}x) — the hot-swap handle \
-                 open path is not near-free"
+                 construction (cap {E17_SWAP_OPEN_MAX_RATIO}x) — the open after a \
+                 hot-swap is not cheap"
             );
             violations += 1;
         }
@@ -335,7 +337,7 @@ fn main() -> ExitCode {
         if capped > 0 {
             eprintln!(
                 "{capped} absolute cap(s) violated (E11 ratio / E12 scaling / E13 bytes / \
-                 E15 governance / E17 cached opens)"
+                 E15 governance / E17 opens after a swap)"
             );
         }
         return ExitCode::FAILURE;

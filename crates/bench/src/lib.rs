@@ -1,9 +1,9 @@
-//! Shared helpers for the benchmark harness and the experiment runner.
+//! Shared helpers for the benches.
 //!
 //! The paper contains no measurement tables; its experimental content is a
-//! set of complexity claims. This crate provides the glue shared by the
-//! benches and by the `experiments` binary that prints the claim-by-claim
-//! comparison tables:
+//! set of complexity claims. The `determinism` and `matching` benches
+//! measure one claim per group (see DESIGN.md, "Experiment index") and
+//! record `BENCH_*.json` reports; this crate provides the glue they share:
 //!
 //! * [`compile_workload`] — run a generated workload through the shared
 //!   compilation pipeline once, producing the [`CompiledAnalysis`] artifact
@@ -27,22 +27,6 @@ use redet_core::matcher::PositionMatcher;
 use redet_core::CompiledAnalysis;
 use redet_workloads::Workload;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Measures the wall-clock time of `f`, repeated `repeats` times, returning
-/// the *average* duration per repetition.
-pub fn time<T>(repeats: usize, mut f: impl FnMut() -> T) -> Duration {
-    let start = Instant::now();
-    for _ in 0..repeats {
-        std::hint::black_box(f());
-    }
-    start.elapsed() / repeats.max(1) as u32
-}
-
-/// Formats a duration in microseconds with three significant digits.
-pub fn micros(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e6)
-}
 
 /// Runs a generated workload through the full compilation pipeline exactly
 /// once: interning is already done by the generator, so this performs the
@@ -77,11 +61,6 @@ pub fn colored_matcher(compiled: &CompiledAnalysis) -> PositionMatcher<ColoredAn
 /// Star-free matcher (Theorem 4.12) over the shared artifact.
 pub fn starfree_matcher(compiled: &CompiledAnalysis) -> StarFreeMatcher {
     StarFreeMatcher::from_compiled(compiled).expect("workload is star-free")
-}
-
-/// Prints a Markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 /// One pre-interned document event, re-exported from `redet-schema` — the
@@ -482,13 +461,5 @@ mod tests {
             let _ = service.feed_bytes(doc, xml.as_bytes());
             assert!(service.finish(doc).is_ok(), "seed {seed}: bytes invalid");
         }
-    }
-
-    #[test]
-    fn timing_helper_runs() {
-        let d = time(3, || 1 + 1);
-        assert!(d.as_nanos() < 1_000_000_000);
-        assert!(!micros(d).is_empty());
-        assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
     }
 }

@@ -77,7 +77,7 @@ pub mod tokenizer;
 mod validator;
 
 pub use pool::ValidatorPool;
-pub use registry::{content_hash, Provenance, Registry, RegistryStats, SharedSchema};
+pub use registry::{content_hash, Provenance, Registry, RegistryStats};
 pub use service::{DocId, FeedStatus, ServiceLimits, ValidationService};
 pub use tokenizer::{Tag, Tokenizer};
 pub use validator::{DocEvent, DocumentValidator};

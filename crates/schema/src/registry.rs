@@ -1,5 +1,5 @@
-//! Multi-tenant schema registry: content-hashed compile cache, concurrent
-//! corpus compilation, and atomic hot-swap.
+//! Multi-tenant schema registry: content-hashed compile cache and
+//! concurrent corpus compilation.
 //!
 //! A validation *service* assumes one compiled [`Schema`]; a validation
 //! *fleet* sees thousands of schemas arriving, repeating, and changing
@@ -19,16 +19,14 @@
 //!   the multi-threaded entry point into [`crate::SchemaBuilder`] — the
 //!   builder and its [`redet_core::Pipeline`] are owned per worker, and
 //!   the produced [`Schema`]s are `Send + Sync`.
-//! * **Atomic hot-swap** — [`SharedSchema`] is a per-schema-id epoch
-//!   handle: [`SharedSchema::publish`] atomically replaces the current
-//!   `Arc<Schema>` and bumps the epoch, [`SharedSchema::load`] binds a
-//!   caller to whatever is current. Handles already validating keep their
-//!   own `Arc` clone until they finish, so the old artifact drops exactly
-//!   when its last in-flight document closes. Built on
-//!   `RwLock<Arc<Schema>>`: the workspace forbids `unsafe`, which rules
-//!   out a homemade ArcSwap, and the write lock is held only for a
-//!   pointer-sized store — readers clone an `Arc` under a read lock, a
-//!   few nanoseconds, never across validation work.
+//!
+//! The registry only compiles; it does not decide which artifact serves a
+//! schema id. Hot-swap has one path: the front end compiles the new text
+//! here and hands the artifact to
+//! [`ValidationService::swap_schema`](crate::ValidationService::swap_schema)
+//! (through `redet_server::SchemaRouter::publish`). Documents already in
+//! flight keep their own `Arc` clone, so the old artifact drops exactly
+//! when its last in-flight document finishes.
 //!
 //! ```
 //! use redet_schema::registry::Registry;
@@ -44,8 +42,7 @@
 use crate::{Schema, SchemaBuilder};
 use redet_core::Diagnostic;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -121,84 +118,25 @@ pub struct RegistryStats {
     pub cached: usize,
 }
 
-/// A per-schema-id hot-swap handle: the atomically publishable "current
-/// schema" slot of the registry.
-///
-/// Cheap to share (`Arc<SharedSchema>`): front ends hold one handle per
-/// schema id and [`SharedSchema::load`] the current artifact when opening
-/// a document. [`SharedSchema::publish`] replaces the artifact atomically
-/// and bumps the [`SharedSchema::epoch`] — loads that raced before the
-/// publish keep their (old) `Arc` and finish on it; loads after bind the
-/// new one. The old artifact is freed by `Arc` reference counting the
-/// moment its last holder drops — the registry never has to track
-/// in-flight documents.
-#[derive(Debug)]
-pub struct SharedSchema {
-    current: RwLock<Arc<Schema>>,
-    epoch: AtomicU64,
-}
-
-impl SharedSchema {
-    /// Wraps `schema` as the handle's first published artifact (epoch 0).
-    #[must_use]
-    pub fn new(schema: Arc<Schema>) -> Self {
-        SharedSchema {
-            current: RwLock::new(schema),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// The currently published artifact. The returned `Arc` is the
-    /// caller's to keep: a publish after this load does not affect it.
-    #[must_use]
-    pub fn load(&self) -> Arc<Schema> {
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Atomically replaces the published artifact and returns the new
-    /// epoch. Loads strictly ordered after this call observe `schema`;
-    /// earlier loads keep the artifact they bound.
-    pub fn publish(&self, schema: Arc<Schema>) -> u64 {
-        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        *slot = schema;
-        // Bumped while the write lock is held, so epoch observations under
-        // a subsequent load() are never behind the artifact they saw.
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// How many times [`SharedSchema::publish`] has replaced the artifact
-    /// (0 for a freshly created handle).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-}
-
-/// The multi-tenant schema registry: a content-hashed compile cache plus
-/// named hot-swap slots.
+/// The multi-tenant schema registry: a content-hashed compile cache.
 ///
 /// Compilation goes through [`Registry::compile`] (or the batched,
 /// multi-threaded [`Registry::compile_corpus`]): identical normalized DTD
 /// text compiles once and every caller shares the same `Arc<Schema>`.
-/// Serving goes through named slots: [`Registry::publish`] compiles (or
-/// cache-hits) a source and installs it under a schema id's
-/// [`SharedSchema`] handle, which front ends watch for hot-swaps.
 ///
-/// The registry itself is single-writer (`&mut self` for compilation and
-/// publishing) — concurrency lives in `compile_corpus`'s scoped workers
-/// and in the `SharedSchema` handles, which are freely shared across
-/// threads.
+/// The registry itself is single-writer (`&mut self` for compilation) —
+/// concurrency lives in `compile_corpus`'s scoped workers, and the
+/// artifacts it returns are `Send + Sync`.
 #[derive(Debug, Default)]
 pub struct Registry {
     cache: HashMap<u128, Arc<Schema>>,
-    slots: Vec<(String, Arc<SharedSchema>)>,
     hits: u64,
     misses: u64,
     compiled: u64,
 }
 
 impl Registry {
-    /// Creates an empty registry: no cached artifacts, no published ids.
+    /// Creates an empty registry: no cached artifacts.
     #[must_use]
     pub fn new() -> Self {
         Registry::default()
@@ -333,42 +271,6 @@ impl Registry {
             .collect()
     }
 
-    /// Compiles `source` and installs it as schema id `id`'s current
-    /// artifact — creating the id's [`SharedSchema`] handle on first
-    /// publish, atomically hot-swapping (epoch bump) on re-publish.
-    /// Returns the published artifact; on a build failure nothing is
-    /// swapped and the id keeps its previous artifact.
-    pub fn publish(&mut self, id: &str, source: &str) -> Result<Arc<Schema>, Diagnostic> {
-        let schema = self.compile(source)?;
-        match self.slots.iter().find(|(slot_id, _)| slot_id == id) {
-            Some((_, shared)) => {
-                shared.publish(Arc::clone(&schema));
-            }
-            None => {
-                self.slots.push((
-                    id.to_owned(),
-                    Arc::new(SharedSchema::new(Arc::clone(&schema))),
-                ));
-            }
-        }
-        Ok(schema)
-    }
-
-    /// The hot-swap handle of a published schema id, if any. Clone the
-    /// `Arc` out to watch the id from other threads.
-    #[must_use]
-    pub fn handle(&self, id: &str) -> Option<&Arc<SharedSchema>> {
-        self.slots
-            .iter()
-            .find(|(slot_id, _)| slot_id == id)
-            .map(|(_, shared)| shared)
-    }
-
-    /// Published schema ids, in first-publish order.
-    pub fn ids(&self) -> impl Iterator<Item = &str> {
-        self.slots.iter().map(|(id, _)| id.as_str())
-    }
-
     /// Cache-audit counters: cumulative hits/misses/compilations plus the
     /// current number of cached artifacts.
     #[must_use]
@@ -470,59 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn publish_creates_then_hot_swaps() {
-        let mut registry = Registry::new();
-        let v1 = registry.publish("notes", &note_dtd("")).unwrap();
-        let handle = Arc::clone(registry.handle("notes").unwrap());
-        assert_eq!(handle.epoch(), 0);
-        assert!(Arc::ptr_eq(&handle.load(), &v1));
-
-        let v2 = registry.publish("notes", &note_dtd("2")).unwrap();
-        assert_eq!(handle.epoch(), 1);
-        assert!(Arc::ptr_eq(&handle.load(), &v2));
-        assert!(!Arc::ptr_eq(&v1, &v2));
-        assert_eq!(registry.ids().collect::<Vec<_>>(), ["notes"]);
-
-        // A failed publish keeps the previous artifact and epoch.
-        assert!(registry
-            .publish("notes", "<!ELEMENT note (line | line)>")
-            .is_err());
-        assert_eq!(handle.epoch(), 1);
-        assert!(Arc::ptr_eq(&handle.load(), &v2));
-    }
-
-    #[test]
-    fn registry_and_handles_are_send_sync() {
+    fn registry_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Registry>();
-        assert_send_sync::<SharedSchema>();
         assert_send_sync::<RegistryStats>();
-    }
-
-    #[test]
-    fn shared_schema_loads_race_free_across_threads() {
-        let mut registry = Registry::new();
-        registry.publish("doc", &note_dtd("")).unwrap();
-        let handle = Arc::clone(registry.handle("doc").unwrap());
-        let variants: Vec<Arc<Schema>> = (0..4)
-            .map(|i| registry.compile(&note_dtd(&format!("{i}"))).unwrap())
-            .collect();
-        std::thread::scope(|scope| {
-            for worker in 0..4 {
-                let handle = &handle;
-                let variants = &variants;
-                scope.spawn(move || {
-                    for round in 0..200 {
-                        let schema = handle.load();
-                        // Every load observes some fully published artifact.
-                        assert!(schema.lookup("note").is_some());
-                        if round % 5 == worker {
-                            handle.publish(Arc::clone(&variants[round % variants.len()]));
-                        }
-                    }
-                });
-            }
-        });
-        assert!(handle.epoch() >= 1);
     }
 }

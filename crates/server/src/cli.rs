@@ -469,17 +469,18 @@ fn cmd_bench(args: &[String]) -> i32 {
     }
     let stream = started.elapsed() / repeats;
 
+    let micros = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e6);
     let per_doc = |d: Duration| d.as_secs_f64() * 1e6 / docs as f64;
     let mb_s = |d: Duration| (bytes as f64 / 1e6) / d.as_secs_f64().max(1e-12);
     println!(
         "batch   ({workers} worker(s)): {:>10} total, {:>9.1} us/doc, {:>8.1} events/us",
-        redet_bench::micros(batch),
+        micros(batch),
         per_doc(batch),
         events as f64 / (batch.as_secs_f64() * 1e6),
     );
     println!(
         "stream  (1 connection) : {:>10} total, {:>9.1} us/doc, {:>8.1} MB/s",
-        redet_bench::micros(stream),
+        micros(stream),
         per_doc(stream),
         mb_s(stream),
     );

@@ -16,7 +16,7 @@
 //! all schemas uniformly.
 
 use redet_core::{Code, Diagnostic};
-use redet_schema::{DocEvent, DocId, FeedStatus, Schema, ServiceLimits, ValidationService};
+use redet_schema::{DocId, FeedStatus, Schema, ServiceLimits, ValidationService};
 use std::sync::Arc;
 
 /// One registered schema: its wire id and its dedicated service.
@@ -141,12 +141,6 @@ impl SchemaRouter {
         }
     }
 
-    /// Routes [`ValidationService::feed`] to the handle's service.
-    #[must_use = "a rejected document should stop being fed"]
-    pub fn feed(&mut self, doc: DocId, events: &[DocEvent]) -> FeedStatus {
-        self.service_of_mut(doc).feed(doc, events)
-    }
-
     /// Routes [`ValidationService::feed_bytes`] to the handle's service.
     #[must_use = "a rejected document should stop being fed"]
     pub fn feed_bytes(&mut self, doc: DocId, bytes: &[u8]) -> FeedStatus {
@@ -162,18 +156,6 @@ impl SchemaRouter {
     /// Routes [`ValidationService::close`] to the handle's service.
     pub fn close(&mut self, doc: DocId) {
         self.service_of_mut(doc).close(doc);
-    }
-
-    /// Routes [`ValidationService::status`] to the handle's service.
-    #[must_use]
-    pub fn status(&self, doc: DocId) -> FeedStatus {
-        self.service_of(doc).status(doc)
-    }
-
-    /// Routes [`ValidationService::diagnostic`] to the handle's service.
-    #[must_use]
-    pub fn diagnostic(&self, doc: DocId) -> Option<&Diagnostic> {
-        self.service_of(doc).diagnostic(doc)
     }
 
     /// Routes [`ValidationService::is_swept`] to the handle's service.
@@ -379,9 +361,9 @@ mod tests {
         assert_eq!(router.feed_bytes(p, b"<pair>"), FeedStatus::NeedMore);
         assert_eq!(router.feed_bytes(l, b"<list>"), FeedStatus::NeedMore);
         assert_eq!(router.tick(5), 2);
-        assert_eq!(router.diagnostic(p).unwrap().code(), Code::IdleTimeout);
-        assert_eq!(router.diagnostic(l).unwrap().code(), Code::IdleTimeout);
-        router.close(p);
-        router.close(l);
+        assert!(router.is_swept(p) && router.is_swept(l));
+        assert_eq!(router.finish(p).unwrap_err().code(), Code::IdleTimeout);
+        assert_eq!(router.finish(l).unwrap_err().code(), Code::IdleTimeout);
+        assert_eq!(router.in_flight(), 0);
     }
 }

@@ -63,7 +63,7 @@
 //! |-------|----------|
 //! | [`syntax`] | alphabet, AST, parser (with source spans), normalizer (restrictions R1–R3) |
 //! | [`tree`] | parse-tree arena, RMQ/LCA, `SupFirst`/`SupLast`, `checkIfFollow` (Thm 2.4) |
-//! | [`structures`] | van Emde Boas sets, lazy arrays, lowest colored ancestor |
+//! | [`structures`] | lowest colored ancestor (§4.1), dynamic LCA-closed skeleta (§4.4) |
 //! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the session API |
 //! | [`core`] | linear-time determinism test (Thm 3.5), counting extension (§3.3), the four matchers (Thms 4.2/4.3/4.10/4.12), diagnostics |
 //! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, shared pipeline), the event-driven `DocumentValidator`, the connection-oriented `ValidationService` (resumable handles, raw-byte ingestion, `ServiceLimits` resource governance), and the `ValidatorPool` batch sharding with panic isolation |

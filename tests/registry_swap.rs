@@ -1,6 +1,8 @@
 //! Hot-swap semantics of the schema registry, end to end.
 //!
-//! The contract under test (ISSUE 10's acceptance criteria):
+//! Hot-swap has one path: `Registry::compile` produces the artifact and
+//! `SchemaRouter::publish` hands it to `ValidationService::swap_schema`.
+//! The contract under test:
 //!
 //! * a document opened against schema v1 **finishes validly** after v2 is
 //!   published mid-flight — in-flight handles complete on the pre-publish
@@ -9,7 +11,8 @@
 //!   diagnostic byte-identical across event and byte feeds;
 //! * the old artifact is dropped only after its last handle closes;
 //! * the verdicts stay byte-identical to in-process validation over the
-//!   TCP wire, across a live `P` (publish) request;
+//!   TCP wire, across a live `P` (publish) request, and a `P` whose schema
+//!   fails to build keeps the previous schema in service;
 //! * the content-hashed compile cache performs exactly `distinct` pipeline
 //!   compilations for a corpus of repeated schema texts.
 
@@ -34,6 +37,10 @@ const V2_DTD: &str = "<!ELEMENT doc (title, author, year)>\n\
                       <!ELEMENT author (#PCDATA)>\n\
                       <!ELEMENT year (#PCDATA)>";
 
+/// Fails to build: `(title | title)` is not deterministic.
+const NON_DETERMINISTIC_DTD: &str = "<!ELEMENT doc (title | title)>\n\
+                                     <!ELEMENT title (#PCDATA)>";
+
 /// Valid under v1, invalid under v2 (missing the required `year`).
 const V1_DOC: &[u8] = b"<doc><title/><author/></doc>";
 
@@ -54,30 +61,38 @@ fn v1_doc_events(schema: &Schema) -> Vec<DocEvent> {
     ]
 }
 
+/// A router serving `schema` under the id `doc`.
+fn doc_router(schema: &Arc<Schema>) -> SchemaRouter {
+    let mut router = SchemaRouter::new();
+    router
+        .register("doc", Arc::clone(schema), ServiceLimits::default())
+        .unwrap();
+    router
+}
+
 #[test]
 fn in_flight_document_finishes_on_pre_publish_schema() {
     let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
-    let handle = Arc::clone(registry.handle("doc").unwrap());
+    let v1 = registry.compile(V1_DTD).unwrap();
+    let mut router = doc_router(&v1);
 
-    let mut service = handle.load().service();
-    let in_flight = service.try_open().unwrap();
+    let in_flight = router.open("doc").unwrap();
     // Half the document arrives…
-    let _ = service.feed_bytes(in_flight, b"<doc><title/>");
+    let _ = router.feed_bytes(in_flight, b"<doc><title/>");
 
     // …then v2 is published mid-flight.
-    let v2 = registry.publish("doc", V2_DTD).unwrap();
-    assert_eq!(handle.epoch(), 1);
-    service.swap_schema(handle.load());
+    let v2 = registry.compile(V2_DTD).unwrap();
+    assert_eq!(router.publish("doc", Arc::clone(&v2)).unwrap(), 0);
+    assert!(Arc::ptr_eq(router.schema("doc").unwrap(), &v2));
 
     // The in-flight document still completes validly against v1.
-    let _ = service.feed_bytes(in_flight, b"<author/></doc>");
-    assert!(service.finish(in_flight).is_ok());
+    let _ = router.feed_bytes(in_flight, b"<author/></doc>");
+    assert!(router.finish(in_flight).is_ok());
 
     // A post-publish open binds v2 and rejects the same bytes.
-    let reopened = service.try_open().unwrap();
-    let _ = service.feed_bytes(reopened, V1_DOC);
-    let rejection = service.finish(reopened).unwrap_err();
+    let reopened = router.open("doc").unwrap();
+    let _ = router.feed_bytes(reopened, V1_DOC);
+    let rejection = router.finish(reopened).unwrap_err();
     assert_eq!(rejection.code(), Code::IncompleteElement);
 
     // The event feed (interned against v2) reports the byte-identical
@@ -94,32 +109,33 @@ fn in_flight_document_finishes_on_pre_publish_schema() {
 #[test]
 fn old_artifact_drops_with_its_last_handle() {
     let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
-    let handle = Arc::clone(registry.handle("doc").unwrap());
+    let v1 = registry.compile(V1_DTD).unwrap();
+    let mut router = doc_router(&v1);
 
-    let mut service = handle.load().service();
-    let in_flight = service.try_open().unwrap();
-    let _ = service.feed_bytes(in_flight, b"<doc>");
+    let in_flight = router.open("doc").unwrap();
+    let _ = router.feed_bytes(in_flight, b"<doc>");
 
-    registry.publish("doc", V2_DTD).unwrap();
-    service.swap_schema(handle.load());
+    let v2 = registry.compile(V2_DTD).unwrap();
+    router.publish("doc", v2).unwrap();
 
     // Holders of v1 while the swapped service still validates the
     // in-flight doc: this test's `v1` binding plus the document's own
-    // validator clone (the registry cache holds one more).
+    // validator clone (the registry cache holds one more). The router
+    // entry and its service already hold v2.
     let held_while_in_flight = Arc::strong_count(&v1);
-    let _ = service.feed_bytes(in_flight, b"<title/><author/></doc>");
-    assert!(service.finish(in_flight).is_ok());
+    assert_eq!(held_while_in_flight, 3);
+    let _ = router.feed_bytes(in_flight, b"<title/><author/></doc>");
+    assert!(router.finish(in_flight).is_ok());
 
-    // Finishing released the validator's clone — nothing in the service
+    // Finishing released the validator's clone — nothing in the router
     // (spare list included) still references v1.
     assert_eq!(Arc::strong_count(&v1), held_while_in_flight - 1);
 
     // New opens allocate against v2 only.
-    let reopened = service.try_open().unwrap();
+    let reopened = router.open("doc").unwrap();
     let count_after_reopen = Arc::strong_count(&v1);
     assert_eq!(count_after_reopen, held_while_in_flight - 1);
-    service.close(reopened);
+    router.close(reopened);
 }
 
 #[test]
@@ -127,11 +143,8 @@ fn swap_verdicts_are_byte_identical_over_tcp() {
     // A real server with v1 registered, its registry seeded the way the
     // CLI seeds it.
     let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
-    let mut router = SchemaRouter::new();
-    router
-        .register("doc", Arc::clone(&v1), ServiceLimits::default())
-        .unwrap();
+    let v1 = registry.compile(V1_DTD).unwrap();
+    let router = doc_router(&v1);
     let mut server = Server::bind("127.0.0.1:0", router, ServerConfig::default()).unwrap();
     server.set_registry(registry);
     let addr = server.local_addr().unwrap();
@@ -174,7 +187,17 @@ fn swap_verdicts_are_byte_identical_over_tcp() {
     let mut stalled = BufReader::new(stalled);
     assert_eq!(read_line(&mut stalled), "ok");
 
-    // A fresh request now validates under v2 and its rejection line is
+    // A publish whose schema fails to build is refused with the build
+    // diagnostic, and v2 stays in service.
+    let mut failed = connect();
+    let mut request = format!("P doc {}\n", NON_DETERMINISTIC_DTD.len()).into_bytes();
+    request.extend_from_slice(NON_DETERMINISTIC_DTD.as_bytes());
+    failed.write_all(&request).unwrap();
+    let mut failed = BufReader::new(failed);
+    let refusal = read_line(&mut failed);
+    assert!(refusal.starts_with("err E003 "), "refusal: {refusal}");
+
+    // A fresh request still validates under v2 and its rejection line is
     // byte-identical to in-process validation against v2.
     let v2 = build(V2_DTD);
     let expected = {
@@ -201,7 +224,7 @@ fn swap_verdicts_are_byte_identical_over_tcp() {
 
     shutdown.shutdown();
     let report = server_thread.join().unwrap();
-    assert_eq!(report.published, 1);
+    assert_eq!(report.published, 1); // refused publishes are not counted
     assert_eq!(report.documents, 2); // publish responses are not verdicts
     assert_eq!(report.accepted, 1); // the stalled v1 document
     assert_eq!(report.rejected, 1); // the post-publish v2 rejection
